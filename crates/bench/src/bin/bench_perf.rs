@@ -21,7 +21,7 @@
 //! directory. Set `BENCH_PERF_QUICK=1` to run a fast smoke (fewer
 //! repetitions, shorter traces) — used by CI.
 //!
-//! The JSON schema (`dsg-bench-perf/v7`) is documented in `ROADMAP.md`
+//! The JSON schema (`dsg-bench-perf/v9`) is documented in `ROADMAP.md`
 //! ("BENCH_perf.json schema"). v5 added the `service_ingest` table: the
 //! concurrent [`dsg::DsgService`] front-end driven by 1/2/4/8 producer
 //! threads over a bounded queue, reporting throughput, peak queue depth,
@@ -43,7 +43,9 @@
 //! it with the sojourn-based shedding/brownout layer on and off (A/B),
 //! reporting goodput, p50/p99 queue sojourn, and the shed/brownout
 //! counters — the off twin's tail sojourn grows with the backlog while
-//! the on twin's stays bounded.
+//! the on twin's stays bounded. v9 drops the plan-stage worker sweep and
+//! its two columns from `communicate_batched`: every epoch is planned
+//! inline, so each (workload, n, batch) cell is one row.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -58,9 +60,6 @@ use dsg_bench::{
     WorkloadKind, BATCH_SIZES, COMM_BATCH_SIZES, COMM_SIZES, SIZES,
 };
 use dsg_skipgraph::{fixtures, Key};
-
-/// The plan-stage shard counts the largest-batch rows sweep.
-const PLAN_SHARD_SWEEP: &[usize] = &[1, 4];
 
 /// The producer-thread counts the `service_ingest` suite sweeps.
 const SERVICE_PRODUCERS: &[usize] = &[1, 2, 4, 8];
@@ -130,7 +129,6 @@ struct BatchRow {
     workload: &'static str,
     n: u64,
     batch: usize,
-    shards: usize,
     requests: usize,
     elapsed_ns: u128,
     transform_touched_pairs: usize,
@@ -140,7 +138,6 @@ struct BatchRow {
     dummies_reused: usize,
     dummies_bulk_inserted: usize,
     planned_clusters: usize,
-    plan_shards: usize,
     plan_wall_ns: u64,
     pairs_gated: u64,
     restructures_budgeted: u64,
@@ -340,42 +337,30 @@ fn measure_communicate_batched(quick: bool) -> Vec<BatchRow> {
         for kind in [WorkloadKind::Uniform, WorkloadKind::HotSetDrift] {
             let trace = workload_trace(kind, n, m, 3);
             for &batch in BATCH_SIZES {
-                // The largest batch additionally sweeps the plan-stage
-                // shard count (the PR 5 acceptance rows: shards 1 vs 4 at
-                // batch 16).
-                let shard_counts: &[usize] = if batch == *BATCH_SIZES.last().unwrap() {
-                    PLAN_SHARD_SWEEP
-                } else {
-                    &[1]
-                };
-                for &shards in shard_counts {
-                    let config = DsgConfig::default().with_seed(1).with_shards(shards);
-                    run_dsg_batched(n, config, &trace[..m.min(20)], batch);
-                    let start = Instant::now();
-                    let run = run_dsg_batched(n, config, &trace, batch);
-                    let elapsed_ns = start.elapsed().as_nanos();
-                    rows.push(BatchRow {
-                        workload: kind.label(),
-                        n,
-                        batch,
-                        shards,
-                        requests: m,
-                        elapsed_ns,
-                        transform_touched_pairs: run.total_touched_pairs(),
-                        epochs: run.epochs,
-                        install_passes: run.install_passes,
-                        dummy_churn: run.dummy_churn,
-                        dummies_reused: run.dummies_reused,
-                        dummies_bulk_inserted: run.dummies_bulk_inserted,
-                        planned_clusters: run.planned_clusters,
-                        plan_shards: run.plan_shards,
-                        plan_wall_ns: run.plan_wall_ns,
-                        pairs_gated: run.pairs_gated,
-                        restructures_budgeted: run.restructures_budgeted,
-                        sketch_aging_passes: run.sketch_aging_passes,
-                    });
-                    std::hint::black_box(run);
-                }
+                let config = DsgConfig::default().with_seed(1);
+                run_dsg_batched(n, config, &trace[..m.min(20)], batch);
+                let start = Instant::now();
+                let run = run_dsg_batched(n, config, &trace, batch);
+                let elapsed_ns = start.elapsed().as_nanos();
+                rows.push(BatchRow {
+                    workload: kind.label(),
+                    n,
+                    batch,
+                    requests: m,
+                    elapsed_ns,
+                    transform_touched_pairs: run.total_touched_pairs(),
+                    epochs: run.epochs,
+                    install_passes: run.install_passes,
+                    dummy_churn: run.dummy_churn,
+                    dummies_reused: run.dummies_reused,
+                    dummies_bulk_inserted: run.dummies_bulk_inserted,
+                    planned_clusters: run.planned_clusters,
+                    plan_wall_ns: run.plan_wall_ns,
+                    pairs_gated: run.pairs_gated,
+                    restructures_budgeted: run.restructures_budgeted,
+                    sketch_aging_passes: run.sketch_aging_passes,
+                });
+                std::hint::black_box(run);
             }
         }
     }
@@ -845,18 +830,16 @@ fn main() {
         }
         let _ = write!(
             batch_json,
-            "\n    {{\"workload\": \"{}\", \"n\": {}, \"batch\": {}, \"shards\": {}, \
-             \"requests\": {}, \
+            "\n    {{\"workload\": \"{}\", \"n\": {}, \"batch\": {}, \"requests\": {}, \
              \"elapsed_ms\": {:.2}, \"requests_per_sec\": {:.1}, \
              \"transform_touched_pairs\": {}, \"epochs\": {}, \"install_passes\": {}, \
              \"dummy_churn\": {}, \"dummies_reused\": {}, \"dummies_bulk_inserted\": {}, \
-             \"planned_clusters\": {}, \"plan_shards\": {}, \"plan_wall_ms\": {:.2}, \
+             \"planned_clusters\": {}, \"plan_wall_ms\": {:.2}, \
              \"pairs_gated\": {}, \"restructures_budgeted\": {}, \
              \"sketch_aging_passes\": {}}}",
             row.workload,
             row.n,
             row.batch,
-            row.shards,
             row.requests,
             row.elapsed_ns as f64 / 1e6,
             row.requests_per_sec(),
@@ -867,7 +850,6 @@ fn main() {
             row.dummies_reused,
             row.dummies_bulk_inserted,
             row.planned_clusters,
-            row.plan_shards,
             row.plan_wall_ns as f64 / 1e6,
             row.pairs_gated,
             row.restructures_budgeted,
@@ -958,7 +940,7 @@ fn main() {
     recovery_json.push_str("\n  ]");
 
     let json = format!(
-        "{{\n  \"schema\": \"dsg-bench-perf/v8\",\n  \"created_unix\": {unix_time},\n  \
+        "{{\n  \"schema\": \"dsg-bench-perf/v9\",\n  \"created_unix\": {unix_time},\n  \
          \"quick\": {},\n  \"route\": {},\n  \"neighbors\": {},\n  \"dummy_probe\": {},\n  \
          \"communicate\": {},\n  \"communicate_batched\": {},\n  \"service_ingest\": {},\n  \
          \"overload\": {},\n  \"recovery\": {}\n}}\n",
@@ -1003,11 +985,10 @@ fn main() {
     }
     for row in &communicate_batched {
         eprintln!(
-            "  batched   {:>11} n={:<5} batch={:<3} shards={:<2} {:>10.1} req/s   {:>4} epochs   {:>4} install passes   plan {:>7.1} ms",
+            "  batched   {:>11} n={:<5} batch={:<3} {:>10.1} req/s   {:>4} epochs   {:>4} install passes   plan {:>7.1} ms",
             row.workload,
             row.n,
             row.batch,
-            row.shards,
             row.requests_per_sec(),
             row.epochs,
             row.install_passes,

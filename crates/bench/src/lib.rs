@@ -199,9 +199,6 @@ pub struct DsgRun {
     pub always_balanced: bool,
     /// Transformation clusters the epoch plan stages planned.
     pub planned_clusters: usize,
-    /// The largest worker-shard count any epoch's plan stages ran on
-    /// (1 = fully inline planning).
-    pub plan_shards: usize,
     /// Total wall-clock nanoseconds spent in the plan stages.
     pub plan_wall_ns: u64,
     /// Requests the admission gate routed without restructuring (0 with
@@ -317,7 +314,6 @@ pub fn run_dsg_batched(n: u64, config: DsgConfig, trace: &[Request], batch: usiz
         run.dummies_reused = metrics.dummies_reused;
         run.dummies_bulk_inserted = metrics.dummies_bulk_inserted;
         run.planned_clusters = metrics.planned_clusters;
-        run.plan_shards = metrics.plan_shards;
         run.plan_wall_ns = metrics.plan_wall_ns;
         run.pairs_gated = metrics.pairs_gated;
         run.restructures_budgeted = metrics.restructures_budgeted;

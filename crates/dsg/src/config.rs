@@ -125,6 +125,9 @@ impl PolicyConfig {
 }
 
 /// Configuration for a [`DynamicSkipGraph`](crate::DynamicSkipGraph).
+///
+/// Nothing here configures threads: every epoch plans all of its clusters
+/// inline on the calling thread, then applies them in submission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DsgConfig {
     /// The balance parameter `a` of the a-balance property (§III). The
@@ -142,23 +145,6 @@ pub struct DsgConfig {
     pub maintain_balance: bool,
     /// How new membership vectors are installed after a transformation.
     pub install: InstallStrategy,
-    /// Worker shards for the *plan* stages of an epoch (≥ 1). With `k > 1`,
-    /// the disjoint clusters of an epoch are planned concurrently on up to
-    /// `k` threads (and the dummy-reconciliation detection scan of a single
-    /// big cluster is chunked across them); all plans are then applied by
-    /// the main thread in submission order. Results are bit-for-bit
-    /// identical for every shard count — the planning reads are snapshots
-    /// and every random draw is derived per cluster, not from a shared
-    /// stream (`tests/shard_equivalence.rs` proves it).
-    pub shards: usize,
-    /// Opt-in adaptive epoch flush: when the previous epoch collapsed into
-    /// a single cluster (total subtree overlap — nothing left for the plan
-    /// shards to parallelise), the session caps the next epoch at
-    /// `4 · shards` pairs instead of the full
-    /// [`MAX_EPOCH_PAIRS`](crate::transform::MAX_EPOCH_PAIRS), restoring
-    /// the full cap as soon as an epoch splits into ≥ 2 clusters again.
-    /// Off by default (fixed caller-driven epoch boundaries).
-    pub adaptive_flush: bool,
     /// The adaptation policy: whether (and how) the frequency-sketch
     /// admission gate decides which communicates earn a restructure.
     /// Default off ([`AdaptPolicy::Always`]).
@@ -173,8 +159,6 @@ impl Default for DsgConfig {
             seed: 0xD56,
             maintain_balance: true,
             install: InstallStrategy::default(),
-            shards: 1,
-            adaptive_flush: false,
             policy: PolicyConfig::default(),
         }
     }
@@ -214,24 +198,6 @@ impl DsgConfig {
     /// Selects the membership-vector install strategy.
     pub fn with_install(mut self, install: InstallStrategy) -> Self {
         self.install = install;
-        self
-    }
-
-    /// Sets the plan-stage worker shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`; prefer the validating
-    /// `DsgSession::builder().shards(..)` path, which errors instead.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "the plan stage needs at least one shard");
-        self.shards = shards;
-        self
-    }
-
-    /// Enables or disables the adaptive epoch flush.
-    pub fn with_adaptive_flush(mut self, on: bool) -> Self {
-        self.adaptive_flush = on;
         self
     }
 

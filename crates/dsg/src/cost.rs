@@ -97,12 +97,9 @@ pub struct RunStats {
     /// how many requests the epoch served — this counter is the observable
     /// behind that claim (the batch tests assert on it).
     pub transform_install_passes: usize,
-    /// Transformation clusters planned by the (possibly parallel) plan
-    /// stage across all epochs.
+    /// Transformation clusters planned by the plan stage across all
+    /// epochs.
     pub planned_clusters: usize,
-    /// The largest worker-shard count any epoch's plan stages actually ran
-    /// on (1 for fully inline planning).
-    pub plan_shards: usize,
     /// Total wall-clock nanoseconds spent in the plan stages (cluster
     /// transformation planning + dummy-reconciliation detection). A timing
     /// observable — excluded from determinism comparisons.

@@ -148,10 +148,9 @@ impl MedianEngine {
 
     /// Re-derives the random stream for one transformation cluster. The
     /// seed is a pure function of the session seed and the cluster's first
-    /// request time, so the medians a cluster receives do not depend on
-    /// which shard plans it, on the other clusters of the epoch, or on the
-    /// planning order — the property the shard-equivalence and
-    /// batch-equivalence suites pin down.
+    /// request time, so the medians a cluster receives do not depend on the
+    /// other clusters of the epoch or on the planning order — the property
+    /// the batch-equivalence suite pins down.
     fn reseed_for_cluster(&mut self, config_seed: u64, t_first: u64) {
         if let MedianEngine::Amf(engine) = self {
             engine.reseed(cluster_plan_seed(config_seed, t_first));
@@ -159,18 +158,17 @@ impl MedianEngine {
     }
 }
 
-/// Per-worker-shard planning scratch: the median engine (recycled AMF
-/// buffers, reseeded per cluster) and the transformation planner's
-/// recycled overlay columns.
+/// Planning scratch: the median engine (recycled AMF buffers, reseeded
+/// per cluster) and the transformation planner's recycled overlay columns.
 #[derive(Debug)]
-struct PlanShard {
+struct PlanScratch {
     median: MedianEngine,
     transform: transform::TransformScratch,
 }
 
-impl PlanShard {
+impl PlanScratch {
     fn from_config(config: &DsgConfig) -> Self {
-        PlanShard {
+        PlanScratch {
             median: MedianEngine::from_config(config),
             transform: transform::TransformScratch::default(),
         }
@@ -260,8 +258,8 @@ struct ClusterPlan {
     pair_indices: Vec<usize>,
 }
 
-/// Per-cluster state produced by the (possibly parallel) *plan* stage of
-/// one epoch and consumed by the serial apply/install/repair stages.
+/// Per-cluster state produced by the *plan* stage of one epoch and
+/// consumed by the apply/install/repair stages.
 #[derive(Debug)]
 struct ClusterRun {
     outcome: TransformOutcome,
@@ -325,10 +323,6 @@ pub struct EpochReport {
     /// gate on, gated clusters are never planned, so this counts only the
     /// admitted ones.
     pub planned_clusters: usize,
-    /// Worker shards the plan stages actually ran on: 1 when everything was
-    /// planned inline, up to the configured [`DsgConfig::shards`] when
-    /// clusters (or a single cluster's reconcile scan) fanned out.
-    pub plan_shards: usize,
     /// Wall-clock nanoseconds the plan stages took (transformation planning
     /// plus dummy-reconciliation detection). Timing-only: excluded from the
     /// determinism comparisons.
@@ -360,12 +354,11 @@ pub struct DynamicSkipGraph {
     graph: SkipGraph,
     states: StateTable,
     config: DsgConfig,
-    /// One planning scratch (median engine + overlay columns) per worker
-    /// shard; index 0 doubles as the serial engine. Each cluster reseeds
-    /// the median engine it is planned on
+    /// The planning scratch (median engine + overlay columns). Each
+    /// cluster reseeds the median engine
     /// ([`MedianEngine::reseed_for_cluster`]), so the recycled buffers are
-    /// the only thing a shard actually keeps between clusters.
-    plan_shards_scratch: Vec<PlanShard>,
+    /// the only thing it keeps between clusters.
+    plan_scratch: PlanScratch,
     /// Pooled [`ClusterBufs`], recycled across epochs.
     bufs_pool: Vec<ClusterBufs>,
     /// Pooled [`dummy::ReconcilePlan`] shells (one per cluster of an
@@ -405,27 +398,7 @@ impl DynamicSkipGraph {
     /// `i - 1` of its rank, so every list splits exactly in half and the
     /// initial skip graph satisfies the a-balance property for every
     /// `a ≥ 1`, as the paper's model requires of `S₀ ∈ S`. Fresh
-    /// self-adjusting state is registered for every peer.
-    ///
-    /// Use [`DynamicSkipGraph::new_random`] for the classic randomised
-    /// construction instead.
-    ///
-    /// **Deprecation note:** `DsgSession::builder()` (see
-    /// [`crate::prelude`]) is the supported construction path; this
-    /// constructor remains as a thin shim.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DsgError::DuplicatePeer`] if a key appears twice.
-    #[deprecated(note = "build a DsgSession via DsgSession::builder() (see dsg::prelude)")]
-    pub fn new<I>(peers: I, config: DsgConfig) -> Result<Self>
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        Self::build_balanced(peers, config)
-    }
-
-    /// Non-deprecated twin of [`DynamicSkipGraph::new`], used by the
+    /// self-adjusting state is registered for every peer. Used by the
     /// session builder.
     pub(crate) fn build_balanced<I>(peers: I, config: DsgConfig) -> Result<Self>
     where
@@ -459,24 +432,7 @@ impl DynamicSkipGraph {
     /// (the classic randomised skip graph construction). The initial
     /// structure is only a-balanced in expectation, so the first few
     /// requests may trigger more dummy-node repairs than with
-    /// [`DynamicSkipGraph::new`].
-    ///
-    /// **Deprecation note:** prefer `DsgSession::builder().random_vectors()`
-    /// (see [`crate::prelude`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DsgError::DuplicatePeer`] if a key appears twice.
-    #[deprecated(note = "build a DsgSession via DsgSession::builder().random_vectors()")]
-    pub fn new_random<I>(peers: I, config: DsgConfig) -> Result<Self>
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        Self::build_random(peers, config)
-    }
-
-    /// Non-deprecated twin of [`DynamicSkipGraph::new_random`], used by
-    /// the session builder.
+    /// [`DynamicSkipGraph::build_balanced`]. Used by the session builder.
     pub(crate) fn build_random<I>(peers: I, config: DsgConfig) -> Result<Self>
     where
         I: IntoIterator<Item = u64>,
@@ -492,25 +448,9 @@ impl DynamicSkipGraph {
         Self::finish_construction(graph, config, rng)
     }
 
-    /// Builds a network from explicit `(peer key, membership vector)` pairs;
-    /// useful for reconstructing the paper's worked examples and for tests.
-    ///
-    /// **Deprecation note:** prefer `DsgSession::builder().members(...)`
-    /// (see [`crate::prelude`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DsgError::DuplicatePeer`] if a key appears twice.
-    #[deprecated(note = "build a DsgSession via DsgSession::builder().members(...)")]
-    pub fn from_parts<I>(members: I, config: DsgConfig) -> Result<Self>
-    where
-        I: IntoIterator<Item = (u64, MembershipVector)>,
-    {
-        Self::build_from_members(members, config)
-    }
-
-    /// Non-deprecated twin of [`DynamicSkipGraph::from_parts`], used by
-    /// the session builder.
+    /// Builds a network from explicit `(peer key, membership vector)` pairs
+    /// (the paper's worked examples and tests). Used by the session
+    /// builder.
     pub(crate) fn build_from_members<I>(members: I, config: DsgConfig) -> Result<Self>
     where
         I: IntoIterator<Item = (u64, MembershipVector)>,
@@ -533,13 +473,13 @@ impl DynamicSkipGraph {
             let base = graph.mvec_of(id)?.len();
             states.register(id, key, base);
         }
-        let plan_shards_scratch = vec![PlanShard::from_config(&config)];
+        let plan_scratch = PlanScratch::from_config(&config);
         let sketch = sketch_for(&config);
         Ok(DynamicSkipGraph {
             graph,
             states,
             config,
-            plan_shards_scratch,
+            plan_scratch,
             bufs_pool: Vec::new(),
             reconcile_pool: Vec::new(),
             rng,
@@ -1009,7 +949,7 @@ impl DynamicSkipGraph {
             );
         }
         let config = image.config;
-        let plan_shards_scratch = vec![PlanShard::from_config(&config)];
+        let plan_scratch = PlanScratch::from_config(&config);
         // A gated engine restores its sketch counters from the image (an
         // image without one — e.g. captured before the policy was turned
         // on — starts the sketch empty, like a fresh engine would).
@@ -1026,7 +966,7 @@ impl DynamicSkipGraph {
             graph,
             states,
             config,
-            plan_shards_scratch,
+            plan_scratch,
             bufs_pool: Vec::new(),
             reconcile_pool: Vec::new(),
             rng: StdRng::from_state(image.rng_state),
@@ -1268,7 +1208,7 @@ impl DynamicSkipGraph {
             // period sees every endpoint cross the fixed threshold under
             // purely uniform traffic and the gate fails open. Staged
             // updates are uncommitted, so the bar is a pure function of
-            // pre-epoch state — deterministic across shards and replays.
+            // pre-epoch state — deterministic across replays.
             let aging_residue = if sketch.aging_passes() > 0 {
                 self.config.policy.aging_period / 2
             } else {
@@ -1342,98 +1282,35 @@ impl DynamicSkipGraph {
             clusters
         };
 
-        // Phase A-plan, all clusters (concurrently on worker shards when
-        // configured): steps 1b–9 — member snapshot, pre-merge group
-        // snapshots, and the transformation proper — run against a
-        // *read-only* graph and state table, recording the state writes per
-        // cluster ([`StateDelta`]). Clusters rebuild provably disjoint
-        // subtrees, every planning read is confined to the cluster's own
-        // subtree (or install-invariant), and every random draw is derived
-        // per cluster rather than from a shared stream, so the plans are a
-        // pure function of the pre-epoch structure — independent of
-        // planning order and shard count (`tests/shard_equivalence.rs`
-        // pins this bit for bit). The same plan-then-apply order runs at
-        // `shards = 1`, just inline.
+        // Phase A-plan, all clusters, inline: steps 1b–9 — member snapshot,
+        // pre-merge group snapshots, and the transformation proper — run
+        // against a *read-only* graph and state table, recording the state
+        // writes per cluster ([`StateDelta`]). Clusters rebuild provably
+        // disjoint subtrees, every planning read is confined to the
+        // cluster's own subtree (or install-invariant), and every random
+        // draw is derived per cluster rather than from a shared stream, so
+        // the plans are a pure function of the pre-epoch structure —
+        // independent of planning order. A panic here leaves the engine
+        // untouched.
         let plan_started = Instant::now();
-        let plan_shard_target = self.config.shards.min(clusters.len()).max(1);
-        while self.plan_shards_scratch.len() < plan_shard_target {
-            self.plan_shards_scratch
-                .push(PlanShard::from_config(&self.config));
-        }
         let mut cluster_runs: Vec<ClusterRun> = Vec::with_capacity(clusters.len());
-        {
-            let graph = &self.graph;
-            let states = &self.states;
-            let config = &self.config;
-            // One pooled snapshot buffer per cluster (recycled at epoch
-            // end), one planning scratch per shard.
-            let mut bufs: Vec<ClusterBufs> = (0..clusters.len())
-                .map(|_| {
-                    let mut b = self.bufs_pool.pop().unwrap_or_default();
-                    b.reset();
-                    b
-                })
-                .collect();
-            let mut shard_scratch = std::mem::take(&mut self.plan_shards_scratch);
-            if plan_shard_target <= 1 {
-                let shard = &mut shard_scratch[0];
-                for (cluster, b) in clusters.iter().zip(bufs.drain(..)) {
-                    cluster_runs.push(plan_cluster(
-                        graph, states, config, shard, b, cluster, &ids, t0, per_node,
-                    ));
-                }
-            } else {
-                let mut slots: Vec<Option<ClusterRun>> =
-                    (0..clusters.len()).map(|_| None).collect();
-                // Hand each shard its round-robin share of (cluster, bufs)
-                // jobs; any assignment yields identical plans.
-                let mut jobs: Vec<Vec<(usize, ClusterBufs)>> =
-                    (0..plan_shard_target).map(|_| Vec::new()).collect();
-                for (ci, b) in bufs.drain(..).enumerate() {
-                    jobs[ci % plan_shard_target].push((ci, b));
-                }
-                std::thread::scope(|scope| {
-                    let clusters = &clusters;
-                    let ids = &ids;
-                    let handles: Vec<_> = shard_scratch
-                        .iter_mut()
-                        .take(plan_shard_target)
-                        .zip(jobs.drain(..))
-                        .map(|(shard, jobs)| {
-                            scope.spawn(move || {
-                                let mut planned = Vec::new();
-                                for (ci, b) in jobs {
-                                    planned.push((
-                                        ci,
-                                        plan_cluster(
-                                            graph,
-                                            states,
-                                            config,
-                                            shard,
-                                            b,
-                                            &clusters[ci],
-                                            ids,
-                                            t0,
-                                            per_node,
-                                        ),
-                                    ));
-                                }
-                                planned
-                            })
-                        })
-                        .collect();
-                    for handle in handles {
-                        for (ci, run) in handle.join().expect("plan shard panicked") {
-                            slots[ci] = Some(run);
-                        }
-                    }
-                });
-                cluster_runs.extend(slots.into_iter().map(|slot| slot.expect("cluster planned")));
-            }
-            self.plan_shards_scratch = shard_scratch;
+        for cluster in &clusters {
+            // One pooled snapshot buffer per cluster (recycled at epoch end).
+            let mut bufs = self.bufs_pool.pop().unwrap_or_default();
+            bufs.reset();
+            cluster_runs.push(plan_cluster(
+                &self.graph,
+                &self.states,
+                &self.config,
+                &mut self.plan_scratch,
+                bufs,
+                cluster,
+                &ids,
+                t0,
+                per_node,
+            ));
         }
         let mut plan_wall_ns = plan_started.elapsed().as_nanos() as u64;
-        let mut plan_shards_used = plan_shard_target;
 
         // Phase A-apply, per cluster in submission order: replay the
         // recorded state writes, then steps 10–11 per pair — group-ids and
@@ -1549,10 +1426,8 @@ impl DynamicSkipGraph {
 
         // Phase C-plan (batched lifecycle only): the dummy-reconciliation
         // detection pass is a pure read of the post-install graph, so the
-        // plans of ALL clusters are computed up front — concurrently across
-        // clusters when the epoch has several, chunked across shards inside
-        // the single cluster's scan otherwise — and applied serially below
-        // in submission order. Repairs of one cluster never touch another
+        // plans of ALL clusters are computed up front and applied below in
+        // submission order. Repairs of one cluster never touch another
         // cluster's subtree lists (roots are pairwise prefix-incomparable
         // and a repair dummy's prefix extends its own cluster's root), so
         // the pre-computed plans stay exact.
@@ -1581,75 +1456,17 @@ impl DynamicSkipGraph {
                 cluster_affected_all.push(affected);
             }
             let plan_c_started = Instant::now();
-            let a = self.config.a;
-            // One pooled plan shell per cluster (recycled at epoch end).
-            let mut shells: Vec<dummy::ReconcilePlan> = (0..clusters.len())
-                .map(|_| self.reconcile_pool.pop().unwrap_or_default())
-                .collect();
-            if clusters.len() > 1 && self.config.shards > 1 {
-                let graph = &self.graph;
-                let shard_count = self.config.shards.min(clusters.len());
-                let mut slots: Vec<Option<dummy::ReconcilePlan>> =
-                    (0..clusters.len()).map(|_| None).collect();
-                let mut jobs: Vec<Vec<(usize, dummy::ReconcilePlan)>> =
-                    (0..shard_count).map(|_| Vec::new()).collect();
-                for (ci, shell) in shells.drain(..).enumerate() {
-                    jobs[ci % shard_count].push((ci, shell));
-                }
-                std::thread::scope(|scope| {
-                    let clusters = &clusters;
-                    let affected_all = &cluster_affected_all;
-                    let handles: Vec<_> = jobs
-                        .drain(..)
-                        .map(|jobs| {
-                            scope.spawn(move || {
-                                let mut planned = Vec::new();
-                                for (ci, mut shell) in jobs {
-                                    dummy::plan_reconciliation(
-                                        graph,
-                                        a,
-                                        clusters[ci].root_level,
-                                        &affected_all[ci],
-                                        1,
-                                        &mut shell,
-                                    );
-                                    planned.push((ci, shell));
-                                }
-                                planned
-                            })
-                        })
-                        .collect();
-                    for handle in handles {
-                        for (ci, plan) in handle.join().expect("reconcile plan shard panicked") {
-                            slots[ci] = Some(plan);
-                        }
-                    }
-                });
-                reconcile_plans = slots;
-                plan_shards_used = plan_shards_used.max(shard_count);
-            } else {
-                for ((cluster, affected), mut shell) in clusters
-                    .iter()
-                    .zip(&cluster_affected_all)
-                    .zip(shells.drain(..))
-                {
-                    dummy::plan_reconciliation(
-                        &self.graph,
-                        a,
-                        cluster.root_level,
-                        affected,
-                        self.config.shards,
-                        &mut shell,
-                    );
-                    reconcile_plans.push(Some(shell));
-                }
-                if !cluster_affected_all.is_empty() {
-                    plan_shards_used = plan_shards_used.max(
-                        self.config
-                            .shards
-                            .clamp(1, cluster_affected_all[0].len().max(1)),
-                    );
-                }
+            for (cluster, affected) in clusters.iter().zip(&cluster_affected_all) {
+                // One pooled plan shell per cluster (recycled at epoch end).
+                let mut shell = self.reconcile_pool.pop().unwrap_or_default();
+                dummy::plan_reconciliation(
+                    &self.graph,
+                    self.config.a,
+                    cluster.root_level,
+                    affected,
+                    &mut shell,
+                );
+                reconcile_plans.push(Some(shell));
             }
             plan_wall_ns += plan_c_started.elapsed().as_nanos() as u64;
         }
@@ -1829,7 +1646,6 @@ impl DynamicSkipGraph {
         self.stats.transform_touched_pairs += epoch_touched;
         self.stats.transform_install_passes += install_passes;
         self.stats.planned_clusters += clusters.len();
-        self.stats.plan_shards = self.stats.plan_shards.max(plan_shards_used);
         self.stats.plan_wall_ns += plan_wall_ns;
         self.stats.pairs_gated += pairs_gated;
         self.stats.pairs_browned_out += pairs_browned_out;
@@ -1850,7 +1666,6 @@ impl DynamicSkipGraph {
             dummies_reused: total_dummies_reused,
             dummies_bulk_inserted: total_dummies_bulk_inserted,
             planned_clusters: clusters.len(),
-            plan_shards: plan_shards_used,
             plan_wall_ns,
             pairs_gated,
             restructures_budgeted,
@@ -1865,21 +1680,20 @@ impl DynamicSkipGraph {
 /// pre-merge group snapshots the timestamp rules need, the transformation
 /// proper (planned, state writes recorded), and the per-node reference
 /// path's derived affected-list set. Borrows the graph, states and config
-/// immutably, so disjoint clusters can run on scoped worker threads; the
-/// median engine is the per-shard scratch, reseeded per cluster.
+/// immutably; the median engine in `scratch` is reseeded per cluster.
 #[allow(clippy::too_many_arguments)]
 fn plan_cluster(
     graph: &SkipGraph,
     states: &StateTable,
     config: &DsgConfig,
-    shard: &mut PlanShard,
+    scratch: &mut PlanScratch,
     mut bufs: ClusterBufs,
     cluster: &ClusterPlan,
     ids: &[(NodeId, NodeId)],
     t0: u64,
     per_node: bool,
 ) -> ClusterRun {
-    // Fault-injection site: a panic here unwinds out of a plan worker while
+    // Fault-injection site: a panic here unwinds out of the plan stage while
     // the engine is still untouched — the scenario the plan-abort
     // containment (engine bit-for-bit preserved) is tested against.
     failpoint::hit(failpoint::PLAN_WORKER);
@@ -1935,17 +1749,17 @@ fn plan_cluster(
         alpha: cluster.root_level,
         a: config.a,
     };
-    shard
+    scratch
         .median
         .reseed_for_cluster(config.seed, t0 + cluster.pair_indices[0] as u64 + 1);
     let (outcome, delta) = if per_node {
         transform::plan_transformation_with(
             graph,
             states,
-            shard.median.as_finder(),
+            scratch.median.as_finder(),
             &input,
             members,
-            &mut shard.transform,
+            &mut scratch.transform,
         )
     } else {
         // The batched installer only needs the diff plan, so the full
@@ -1953,10 +1767,10 @@ fn plan_cluster(
         transform::plan_transformation_lean_with(
             graph,
             states,
-            shard.median.as_finder(),
+            scratch.median.as_finder(),
             &input,
             members,
-            &mut shard.transform,
+            &mut scratch.transform,
         )
     };
 

@@ -136,8 +136,7 @@ pub use dsg_skipgraph::failpoint;
 /// (`dsg-repro`) re-exports this module, so downstream code can depend on
 /// either and write `use dsg::prelude::*;` / `use dsg_repro::prelude::*;`
 /// interchangeably. The engine type ([`DynamicSkipGraph`]) is included for
-/// inspection APIs; constructing it directly is deprecated in favour of
-/// [`DsgSession::builder`].
+/// inspection APIs; it is built through [`DsgSession::builder`].
 pub mod prelude {
     pub use crate::config::{
         AdaptPolicy, DsgConfig, InstallStrategy, MedianStrategy, PolicyConfig,

@@ -41,8 +41,6 @@ pub struct TransformEvent {
     pub touched_pairs: usize,
     /// Clusters the epoch's plan stage planned.
     pub planned_clusters: usize,
-    /// Worker shards the epoch's plan stages actually ran on (1 = inline).
-    pub plan_shards: usize,
     /// Wall-clock nanoseconds the plan stages took (timing-only; excluded
     /// from determinism comparisons).
     pub plan_wall_ns: u64,
@@ -226,7 +224,6 @@ mod tests {
             install_passes: 1,
             touched_pairs: 0,
             planned_clusters: 1,
-            plan_shards: 1,
             plan_wall_ns: 0,
             pairs_gated: 0,
             restructures_budgeted: 0,
@@ -271,7 +268,6 @@ mod tests {
             install_passes: 1,
             touched_pairs: 5,
             planned_clusters: 1,
-            plan_shards: 1,
             plan_wall_ns: 0,
             pairs_gated: 0,
             restructures_budgeted: 0,

@@ -22,7 +22,7 @@
 //! * the engine RNG's full internal state — replayed `Join` requests draw
 //!   membership-vector bits from it, and recovery replays joins;
 //! * the [`DsgConfig`] — the restored engine must plan with the captured
-//!   `a`, seed, shard count, and strategies, not whatever the reopening
+//!   `a`, seed, strategies and policy, not whatever the reopening
 //!   process happens to pass.
 //!
 //! Run statistics and pooled scratch are deliberately *not* captured: they
@@ -39,9 +39,11 @@ use dsg_skipgraph::crc32::crc32;
 /// Leading magic of a snapshot payload. Version 2 added the adaptation
 /// policy: the `PolicyConfig` fields in the config section and an optional
 /// frequency-sketch section (present exactly when the policy is gated).
-/// Version bumps are deliberate incompatibilities — the decoder rejects
-/// other versions rather than guessing at field layouts.
-const MAGIC: &[u8; 8] = b"DSGSNAP2";
+/// Version 3 dropped the plan-stage worker count and the adaptive-flush
+/// flag from the config section. Version bumps are deliberate
+/// incompatibilities — the decoder rejects other versions rather than
+/// guessing at field layouts.
+const MAGIC: &[u8; 8] = b"DSGSNAP3";
 
 /// A serializable image of one graph node (peer or dummy) and its
 /// self-adjusting state.
@@ -113,8 +115,6 @@ pub fn encode_snapshot(image: &EngineImage) -> Vec<u8> {
     put_u64(&mut buf, image.config.seed);
     buf.push(image.config.maintain_balance as u8);
     buf.push(install_tag(image.config.install));
-    put_u64(&mut buf, image.config.shards as u64);
-    buf.push(image.config.adaptive_flush as u8);
     buf.push(policy_tag(image.config.policy.policy));
     put_u32(&mut buf, image.config.policy.threshold);
     put_u32(&mut buf, image.config.policy.epoch_budget);
@@ -190,12 +190,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
         1 => InstallStrategy::PerNode,
         tag => return Err(corrupt(&format!("unknown install strategy tag {tag}"))),
     };
-    let shards = r.u64().map_err(short)? as usize;
-    let adaptive_flush = match r.u8().map_err(short)? {
-        0 => false,
-        1 => true,
-        tag => return Err(corrupt(&format!("bad adaptive_flush byte {tag}"))),
-    };
     let policy = match r.u8().map_err(short)? {
         0 => AdaptPolicy::Always,
         1 => AdaptPolicy::Gated,
@@ -218,17 +212,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<EngineImage, PersistError> {
     if a < 2 {
         return Err(corrupt(&format!("balance parameter a = {a} below 2")));
     }
-    if shards == 0 {
-        return Err(corrupt("zero plan shards"));
-    }
     let config = DsgConfig {
         a,
         median,
         seed,
         maintain_balance,
         install,
-        shards,
-        adaptive_flush,
         policy: PolicyConfig {
             policy,
             threshold,
@@ -345,10 +334,7 @@ mod tests {
 
     fn sample_image() -> EngineImage {
         EngineImage {
-            config: DsgConfig::default()
-                .with_seed(0xFEED)
-                .with_shards(4)
-                .with_adaptive_flush(true),
+            config: DsgConfig::default().with_seed(0xFEED),
             time: 421,
             rng_state: [1, 2, 3, u64::MAX],
             nodes: vec![
@@ -413,6 +399,17 @@ mod tests {
         bytes[..8].copy_from_slice(b"DSGSNAP1");
         assert!(matches!(
             decode_snapshot(&bytes),
+            Err(PersistError::CorruptSnapshot { .. })
+        ));
+        // A version-2 payload in its own layout: the plan-stage worker count
+        // and the adaptive-flush byte sat after the install tag (offset 27).
+        let mut v2 = encode_snapshot(&sample_image());
+        v2[..8].copy_from_slice(b"DSGSNAP2");
+        let mut legacy = 1u64.to_le_bytes().to_vec();
+        legacy.push(0);
+        v2.splice(27..27, legacy);
+        assert!(matches!(
+            decode_snapshot(&v2),
             Err(PersistError::CorruptSnapshot { .. })
         ));
     }

@@ -485,6 +485,7 @@ mod tests {
 
     #[test]
     fn cold_start_checkpoint_append_reopen() {
+        let _guard = failpoint::exclusive();
         let dir = temp_store_dir();
         let (mut store, recovered) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         assert!(recovered.is_none());
@@ -516,6 +517,7 @@ mod tests {
 
     #[test]
     fn checkpoint_rebinds_and_retains_the_previous_snapshot() {
+        let _guard = failpoint::exclusive();
         let dir = temp_store_dir();
         let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         store.checkpoint(&tiny_image(0)).unwrap();
@@ -551,6 +553,7 @@ mod tests {
 
     #[test]
     fn damaged_current_snapshot_falls_back_to_previous() {
+        let _guard = failpoint::exclusive();
         let dir = temp_store_dir();
         let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         store.checkpoint(&tiny_image(0)).unwrap();
@@ -581,13 +584,13 @@ mod tests {
 
     #[test]
     fn rollback_discards_a_torn_append() {
+        let _guard = failpoint::exclusive();
         let dir = temp_store_dir();
         let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         store.checkpoint(&tiny_image(0)).unwrap();
         store.append_chunk(&[Request::Tick(1)], false).unwrap();
         let committed = store.journal_len();
 
-        let _guard = failpoint::exclusive();
         failpoint::arm(failpoint::IO_APPEND, 1);
         let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             store.append_chunk(&[Request::Tick(2)], false)
@@ -627,6 +630,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_on_open() {
+        let _guard = failpoint::exclusive();
         let dir = temp_store_dir();
         let (mut store, _) = DurableStore::open(&dir, PersistConfig::default()).unwrap();
         store.checkpoint(&tiny_image(0)).unwrap();

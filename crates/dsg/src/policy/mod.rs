@@ -37,16 +37,16 @@
 //!
 //! # Determinism points (what makes the gate safe)
 //!
-//! The engine's standing determinism properties — bit-for-bit
-//! shard-equivalence and batched==sequential restart-replay — hold with
+//! The engine's standing determinism property — batched==sequential
+//! restart-replay — holds with
 //! the gate enabled **by construction**, because every policy-visible
 //! event happens at one deterministic point of the epoch pipeline:
 //!
-//! * **One update point per epoch.** Sketch increments happen on the main
-//!   thread, in submission order, *after* the routing pass and *before*
-//!   any cluster is planned — never from plan workers, so the sketch state
-//!   (and therefore every admission decision) is independent of the shard
-//!   count and of plan scheduling.
+//! * **One update point per epoch.** Sketch increments happen in
+//!   submission order, *after* the routing pass and *before* any cluster
+//!   is planned — never while planning, so the sketch state (and
+//!   therefore every admission decision) is independent of the planning
+//!   order.
 //! * **Plan aborts roll back.** Increments staged during the (pure-read)
 //!   plan phase are recorded in an undo log;
 //!   [`acknowledge_plan_abort`](crate::DynamicSkipGraph::acknowledge_plan_abort)

@@ -109,11 +109,11 @@
 //!
 //! One ingest thread owns the session; producers only touch the bounded
 //! queue (a `Mutex<VecDeque>` with two condvars — `std::sync` only) and
-//! their tickets. Everything the engine does therefore stays serialized,
-//! and the plan-stage worker shards of the session remain scoped *inside*
-//! an epoch — the service adds concurrency at the boundary, never inside
-//! the pipeline, which is why the determinism guarantees of
-//! [`DsgSession`] carry over verbatim. [`shutdown`](DsgService::shutdown)
+//! their tickets. Everything the engine does therefore stays serialized on
+//! that one thread, which plans and applies every epoch inline — the
+//! service adds concurrency at the boundary, never inside the pipeline,
+//! which is why the determinism guarantees of [`DsgSession`] carry over
+//! verbatim. [`shutdown`](DsgService::shutdown)
 //! closes the queue and, per [`ShutdownPolicy`], either drains the backlog
 //! or resolves it with [`DsgError::ShuttingDown`]; dropping the service
 //! does the same and joins the thread either way.

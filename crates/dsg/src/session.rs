@@ -31,9 +31,8 @@
 //! # }
 //! ```
 //!
-//! Construction replaces the three historical constructors (`new`,
-//! `new_random`, `from_parts`) with one fluent, *validating* path: the
-//! builder returns [`DsgError::InvalidConfig`] instead of panicking on bad
+//! Construction goes through one fluent, *validating* path: the builder
+//! returns [`DsgError::InvalidConfig`] instead of panicking on bad
 //! parameters. Metrics flow through [`DsgObserver`] hooks instead of
 //! polling the engine's [`RunStats`](crate::RunStats).
 //!
@@ -41,20 +40,16 @@
 //!
 //! A session is single-threaded at its surface: `submit`/`submit_batch`
 //! take `&mut self` and everything observable happens on the caller's
-//! thread. Internally, an epoch is served **plan-then-apply**: the
-//! expensive Θ(n) *planning* work — the per-cluster transformation
-//! (vector recomputation, AMF medians, diff derivation) and the
-//! dummy-reconciliation detection scans — only *reads* the graph and
-//! state table, so with [`DsgBuilder::shards`]`(k > 1)` it fans out
-//! across `k` scoped worker threads (`std::thread::scope`; no threads
-//! outlive the call). All *mutation* — state-delta replay, group/timestamp
-//! rules, the membership install, dummy placement — is applied by the
-//! calling thread in submission order. Results are bit-for-bit identical
-//! for every shard count: planning reads are snapshots of the pre-epoch
-//! structure, worker outputs are merged in deterministic (submission)
-//! order, and every random draw is derived per cluster instead of from a
-//! shared stream (`tests/shard_equivalence.rs` proves graphs, states,
-//! dummy populations and outcomes equal for shards ∈ {1, 2, 4, 8}).
+//! thread, and the session spawns no threads. Internally, an epoch is
+//! served **plan-then-apply**, inline: the expensive Θ(n) *planning* work
+//! — the per-cluster transformation (vector recomputation, AMF medians,
+//! diff derivation) and the dummy-reconciliation detection scans — only
+//! *reads* the graph and state table, and every random draw is derived
+//! per cluster instead of from a shared stream. All *mutation* —
+//! state-delta replay, group/timestamp rules, the membership install,
+//! dummy placement — is then applied in submission order. A panic while
+//! planning therefore leaves the engine untouched (see
+//! [`EpochPhase`](crate::EpochPhase)).
 //!
 //! To drive a session from **multiple producer threads**, hand it to a
 //! [`DsgService`](crate::service::DsgService): the session moves onto a
@@ -115,9 +110,6 @@ pub struct DsgBuilder {
     /// Held raw so validation happens in [`DsgBuilder::build`] (the
     /// `DsgConfig::with_a` setter panics instead of erroring).
     a: Option<usize>,
-    /// Held raw like `a`: `DsgConfig::with_shards` panics on 0, the
-    /// builder errors instead.
-    shards: Option<usize>,
     observers: Vec<SharedObserver>,
 }
 
@@ -142,8 +134,7 @@ impl DsgBuilder {
         self
     }
 
-    /// Explicit `(peer key, membership vector)` pairs; replaces the old
-    /// `DynamicSkipGraph::from_parts` constructor (used by the paper's
+    /// Explicit `(peer key, membership vector)` pairs (used by the paper's
     /// worked examples and by tests). Mutually exclusive with
     /// [`peers`](Self::peers).
     pub fn members<I: IntoIterator<Item = (u64, MembershipVector)>>(mut self, members: I) -> Self {
@@ -153,7 +144,7 @@ impl DsgBuilder {
     }
 
     /// Use uniformly random initial membership vectors (the classic
-    /// randomised construction); replaces `DynamicSkipGraph::new_random`.
+    /// randomised construction).
     pub fn random_vectors(mut self) -> Self {
         self.vectors = InitialVectors::Random;
         self
@@ -181,28 +172,6 @@ impl DsgBuilder {
     /// The membership-vector install strategy.
     pub fn install(mut self, install: InstallStrategy) -> Self {
         self.config.install = install;
-        self
-    }
-
-    /// Worker shards for the epoch *plan* stages (validated at
-    /// [`build`](Self::build) — must be ≥ 1). The default of 1 plans
-    /// inline; higher counts fan the per-cluster transformation planning
-    /// and the dummy-reconciliation detection scans out across scoped
-    /// threads, with bit-for-bit identical results (see the
-    /// [module documentation](self)'s threading model).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
-    /// Enables the adaptive epoch flush: when the previous epoch collapsed
-    /// into a single cluster (total subtree overlap — nothing left for the
-    /// plan shards to parallelise), the session cuts subsequent epochs at
-    /// `4 · shards` pairs instead of the full per-epoch limit, restoring
-    /// the full cap once an epoch splits into ≥ 2 clusters again. Off by
-    /// default.
-    pub fn adaptive_flush(mut self, on: bool) -> Self {
-        self.config.adaptive_flush = on;
         self
     }
 
@@ -254,14 +223,6 @@ impl DsgBuilder {
                 )));
             }
             config.a = a;
-        }
-        if let Some(shards) = self.shards {
-            if shards == 0 {
-                return Err(DsgError::InvalidConfig(
-                    "the plan stage needs at least one worker shard".to_string(),
-                ));
-            }
-            config.shards = shards;
         }
         if self.vectors == InitialVectors::Explicit && !self.peers.is_empty() {
             return Err(DsgError::InvalidConfig(
@@ -365,9 +326,6 @@ pub struct BatchOutcome {
     /// (= [`BatchOutcome::clusters`] with the adaptation policy off;
     /// gated clusters are never planned).
     pub planned_clusters: usize,
-    /// The largest worker-shard count any of the batch's epochs actually
-    /// planned on (1 = fully inline).
-    pub plan_shards: usize,
     /// Wall-clock nanoseconds the plan stages took across the batch. A
     /// timing observable — excluded from determinism comparisons.
     pub plan_wall_ns: u64,
@@ -487,22 +445,12 @@ impl DsgSession {
         let mut pending: Vec<(usize, (u64, u64))> = Vec::new();
         let mut endpoints: Vec<u64> = Vec::new();
         let mut slots: Vec<Option<SubmitOutcome>> = requests.iter().map(|_| None).collect();
-        // Adaptive epoch flush (opt-in): while the previous epoch collapsed
-        // into ONE cluster — total subtree overlap, so additional pairs add
-        // no plan-stage parallelism — cap the pending epoch at `4 · shards`
-        // pairs; an epoch that splits into ≥ 2 clusters restores the full
-        // per-epoch limit. Purely a function of served reports, so the
-        // boundaries stay deterministic.
-        let adaptive = self.engine.config().adaptive_flush;
-        let overlap_cap = (4 * self.engine.config().shards).clamp(1, MAX_EPOCH_PAIRS);
-        let mut epoch_cap = MAX_EPOCH_PAIRS;
 
         let flush = |session: &mut Self,
                      pending: &mut Vec<(usize, (u64, u64))>,
                      endpoints: &mut Vec<u64>,
                      slots: &mut Vec<Option<SubmitOutcome>>,
-                     batch: &mut BatchOutcome,
-                     epoch_cap: &mut usize|
+                     batch: &mut BatchOutcome|
          -> Result<()> {
             if pending.is_empty() {
                 return Ok(());
@@ -510,16 +458,6 @@ impl DsgSession {
             let pairs: Vec<(u64, u64)> = pending.iter().map(|&(_, pair)| pair).collect();
             let report = session.engine.communicate_epoch_degraded(&pairs, brownout)?;
             session.record_epoch(&report, pairs.len());
-            if adaptive {
-                if report.clusters >= 2 {
-                    *epoch_cap = MAX_EPOCH_PAIRS;
-                } else if pairs.len() > 1 {
-                    // A multi-pair epoch collapsed into one cluster: total
-                    // overlap pressure. A single-pair epoch is no evidence
-                    // either way and leaves the cap as it is.
-                    *epoch_cap = overlap_cap;
-                }
-            }
             batch.epochs += 1;
             batch.clusters += report.clusters;
             batch.install_passes += report.install_passes;
@@ -529,7 +467,6 @@ impl DsgSession {
             batch.dummies_reused += report.dummies_reused;
             batch.dummies_bulk_inserted += report.dummies_bulk_inserted;
             batch.planned_clusters += report.planned_clusters;
-            batch.plan_shards = batch.plan_shards.max(report.plan_shards);
             batch.plan_wall_ns += report.plan_wall_ns;
             batch.pairs_gated += report.pairs_gated;
             batch.restructures_budgeted += report.restructures_budgeted;
@@ -551,54 +488,26 @@ impl DsgSession {
                     // touch the same peer.
                     if endpoints.contains(&u)
                         || endpoints.contains(&v)
-                        || pending.len() >= epoch_cap
+                        || pending.len() >= MAX_EPOCH_PAIRS
                     {
-                        flush(
-                            self,
-                            &mut pending,
-                            &mut endpoints,
-                            &mut slots,
-                            &mut batch,
-                            &mut epoch_cap,
-                        )?;
+                        flush(self, &mut pending, &mut endpoints, &mut slots, &mut batch)?;
                     }
                     pending.push((index, (u, v)));
                     endpoints.push(u);
                     endpoints.push(v);
                 }
                 Request::Join(peer) => {
-                    flush(
-                        self,
-                        &mut pending,
-                        &mut endpoints,
-                        &mut slots,
-                        &mut batch,
-                        &mut epoch_cap,
-                    )?;
+                    flush(self, &mut pending, &mut endpoints, &mut slots, &mut batch)?;
                     self.engine.add_peer(peer)?;
                     slots[index] = Some(SubmitOutcome::Joined { peer });
                 }
                 Request::Leave(peer) => {
-                    flush(
-                        self,
-                        &mut pending,
-                        &mut endpoints,
-                        &mut slots,
-                        &mut batch,
-                        &mut epoch_cap,
-                    )?;
+                    flush(self, &mut pending, &mut endpoints, &mut slots, &mut batch)?;
                     self.engine.remove_peer(peer)?;
                     slots[index] = Some(SubmitOutcome::Left { peer });
                 }
                 Request::Tick(to) => {
-                    flush(
-                        self,
-                        &mut pending,
-                        &mut endpoints,
-                        &mut slots,
-                        &mut batch,
-                        &mut epoch_cap,
-                    )?;
+                    flush(self, &mut pending, &mut endpoints, &mut slots, &mut batch)?;
                     self.engine.advance_time(to);
                     slots[index] = Some(SubmitOutcome::Ticked {
                         now: self.engine.time(),
@@ -606,14 +515,7 @@ impl DsgSession {
                 }
             }
         }
-        flush(
-            self,
-            &mut pending,
-            &mut endpoints,
-            &mut slots,
-            &mut batch,
-            &mut epoch_cap,
-        )?;
+        flush(self, &mut pending, &mut endpoints, &mut slots, &mut batch)?;
         batch.outcomes = slots
             .into_iter()
             .map(|slot| {
@@ -636,7 +538,6 @@ impl DsgSession {
             install_passes: report.install_passes,
             touched_pairs: report.touched_pairs,
             planned_clusters: report.planned_clusters,
-            plan_shards: report.plan_shards,
             plan_wall_ns: report.plan_wall_ns,
             pairs_gated: report.pairs_gated,
             restructures_budgeted: report.restructures_budgeted,

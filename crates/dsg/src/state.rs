@@ -156,14 +156,15 @@ impl NodeState {
 }
 
 /// A recorded sequence of state writes, produced by the *planning* half of
-/// the transformation engine and applied to a [`StateTable`] by the main
-/// thread ([`StateTable::apply_delta`]).
+/// the transformation engine and applied to a [`StateTable`] afterwards
+/// ([`StateTable::apply_delta`]).
 ///
-/// The split exists for the parallel plan stage of
+/// The split exists for the plan stage of
 /// [`DynamicSkipGraph::communicate_epoch`](crate::DynamicSkipGraph::communicate_epoch):
-/// worker shards plan disjoint clusters against a shared `&StateTable` and
-/// record their intended writes here instead of mutating the table, so the
-/// expensive Θ(n) planning needs no `&mut` access. Entries are replayed in
+/// every cluster of an epoch is planned inline against a shared
+/// `&StateTable`, recording its intended writes here instead of mutating
+/// the table, so a panic while planning leaves the table untouched and
+/// the Θ(n) planning needs no `&mut` access. Entries are replayed in
 /// recording order (last write wins), which reproduces the exact write
 /// sequence — including writes that re-store a default value, since those
 /// still grow [`NodeState::stored_group_levels`] and the unbounded

@@ -168,8 +168,7 @@ struct WorkItem {
 }
 
 /// Reusable buffers of the transformation's planning half, owned by the
-/// caller (one per plan-stage worker shard) so a warm epoch plans without
-/// allocating the overlay columns.
+/// caller so a warm epoch plans without allocating the overlay columns.
 #[derive(Debug, Default)]
 pub struct TransformScratch {
     /// Recycled per-member group-id columns of the engine's overlay.
@@ -249,39 +248,6 @@ impl<'a> GidOverlay<'a> {
     }
 }
 
-/// Runs the full transformation for one epoch (one or more pairs),
-/// applying the state writes directly: [`plan_transformation`] followed by
-/// [`StateTable::apply_delta`].
-pub fn run_transformation(
-    graph: &SkipGraph,
-    states: &mut StateTable,
-    median_finder: &mut dyn MedianFinder,
-    input: &TransformInput,
-    members_alpha: &[NodeId],
-) -> TransformOutcome {
-    let (outcome, delta) = plan_transformation(graph, states, median_finder, input, members_alpha);
-    states.apply_delta(&delta);
-    outcome
-}
-
-/// [`run_transformation`] without materialising [`TransformOutcome::suffixes`]
-/// (left empty): the batched install consumes only the diff plan
-/// ([`TransformOutcome::changes`]), so building the full per-member suffix
-/// map — one heap vector per member of `l_α` — would be pure overhead on
-/// the hot path. The timestamp/group traces are identical.
-pub fn run_transformation_lean(
-    graph: &SkipGraph,
-    states: &mut StateTable,
-    median_finder: &mut dyn MedianFinder,
-    input: &TransformInput,
-    members_alpha: &[NodeId],
-) -> TransformOutcome {
-    let (outcome, delta) =
-        plan_transformation_lean(graph, states, median_finder, input, members_alpha);
-    states.apply_delta(&delta);
-    outcome
-}
-
 /// The *planning* half of the transformation: computes the full trace of
 /// one epoch cluster — membership-bit suffixes, the differential install
 /// plan, medians, split events — against a **read-only** graph and state
@@ -298,23 +264,11 @@ pub fn run_transformation_lean(
 /// *pre-transformation* membership vectors: the differential install plan
 /// ([`TransformOutcome::changes`]) is computed against them.
 ///
-/// Everything this function touches is borrowed immutably, so disjoint
-/// clusters of one epoch can be planned concurrently on worker shards; the
-/// caller applies the deltas serially in submission order, which replays
-/// the exact write sequence the mutating twin would have produced.
-pub fn plan_transformation(
-    graph: &SkipGraph,
-    states: &StateTable,
-    median_finder: &mut dyn MedianFinder,
-    input: &TransformInput,
-    members_alpha: &[NodeId],
-) -> (TransformOutcome, StateDelta) {
-    let mut scratch = TransformScratch::default();
-    plan_transformation_impl(graph, states, median_finder, input, members_alpha, true, &mut scratch)
-}
-
-/// [`plan_transformation`] with caller-owned recycled buffers (the epoch
-/// engine passes one [`TransformScratch`] per worker shard).
+/// Everything this function touches is borrowed immutably, so the epoch
+/// engine plans every cluster of an epoch before it mutates anything; it
+/// then applies the deltas in submission order
+/// ([`StateTable::apply_delta`]). `scratch` holds the recycled overlay
+/// columns.
 pub fn plan_transformation_with(
     graph: &SkipGraph,
     states: &StateTable,
@@ -326,20 +280,12 @@ pub fn plan_transformation_with(
     plan_transformation_impl(graph, states, median_finder, input, members_alpha, true, scratch)
 }
 
-/// [`plan_transformation`] without materialising the suffix map (the
-/// batched-install twin of [`run_transformation_lean`]).
-pub fn plan_transformation_lean(
-    graph: &SkipGraph,
-    states: &StateTable,
-    median_finder: &mut dyn MedianFinder,
-    input: &TransformInput,
-    members_alpha: &[NodeId],
-) -> (TransformOutcome, StateDelta) {
-    let mut scratch = TransformScratch::default();
-    plan_transformation_impl(graph, states, median_finder, input, members_alpha, false, &mut scratch)
-}
-
-/// [`plan_transformation_lean`] with caller-owned recycled buffers.
+/// [`plan_transformation_with`] without materialising
+/// [`TransformOutcome::suffixes`] (left empty): the batched install
+/// consumes only the diff plan ([`TransformOutcome::changes`]), so
+/// building the full per-member suffix map — one heap vector per member of
+/// `l_α` — would be pure overhead on the hot path. The timestamp/group
+/// traces are identical.
 pub fn plan_transformation_lean_with(
     graph: &SkipGraph,
     states: &StateTable,
@@ -1020,7 +966,16 @@ mod tests {
             a: 3,
         };
         let mut finder = ExactMedian;
-        run_transformation(graph, states, &mut finder, &input, members)
+        let (outcome, delta) = plan_transformation_with(
+            graph,
+            states,
+            &mut finder,
+            &input,
+            members,
+            &mut TransformScratch::default(),
+        );
+        states.apply_delta(&delta);
+        outcome
     }
 
     #[test]

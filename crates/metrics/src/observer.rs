@@ -54,9 +54,6 @@ pub struct MetricsObserver {
     /// Clusters planned by the (possibly parallel) plan stages across all
     /// epochs.
     pub planned_clusters: usize,
-    /// The largest worker-shard count any epoch's plan stages actually ran
-    /// on (1 = fully inline planning).
-    pub plan_shards: usize,
     /// Total wall-clock nanoseconds spent in the plan stages. Timing-only.
     pub plan_wall_ns: u64,
     /// Dummy nodes actually removed by differential GC across all epochs
@@ -142,7 +139,6 @@ impl DsgObserver for MetricsObserver {
         self.clusters += event.clusters;
         self.install_passes += event.install_passes;
         self.planned_clusters += event.planned_clusters;
-        self.plan_shards = self.plan_shards.max(event.plan_shards);
         self.plan_wall_ns += event.plan_wall_ns;
         self.pairs_gated += event.pairs_gated;
         self.restructures_budgeted += event.restructures_budgeted;

@@ -32,16 +32,17 @@
 //! # Process-global state
 //!
 //! The registry is process-global (the sites live in code shared by every
-//! engine instance), so concurrently running tests that arm fail points
-//! would interfere. Tests serialise through [`exclusive`] and reset with
+//! engine instance), so a site armed by one test fires in any engine that
+//! reaches it, including one driven by a concurrently running test that
+//! armed nothing. Tests serialise through [`exclusive`] and reset with
 //! [`disarm_all`].
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Fail-point site inside the parallel epoch *plan* stage: hit once per
-/// cluster planned (worker shard or inline). Firing here aborts the epoch
-/// before any apply — the engine is untouched.
+/// Fail-point site inside the epoch *plan* stage: hit once per cluster
+/// planned. Firing here aborts the epoch before any apply — the engine is
+/// untouched.
 pub const PLAN_WORKER: &str = "plan.worker";
 
 /// Fail-point site inside the ordered-splice membership installer
@@ -125,11 +126,14 @@ fn index(site: &str) -> usize {
         .unwrap_or_else(|| panic!("unknown fail-point site `{site}`"))
 }
 
-/// Serialises fail-point tests: the registry is process-global, so any
-/// test that arms a site must hold this guard for its whole arm → run →
-/// [`disarm_all`] window. A panic while holding it (most fail-point tests
-/// panic on purpose somewhere) does not wedge later tests — poisoning is
-/// ignored.
+/// Serialises fail-point tests: the registry is process-global, so an
+/// armed site fires in whichever engine reaches it first, not only in the
+/// test that armed it. In a test binary that arms any site, every test
+/// that can reach an armed site must hold this guard — the arming tests
+/// for their whole arm → run → [`disarm_all`] window, and the tests that
+/// never arm anything for as long as they drive an engine or store. A
+/// panic while holding it (most fail-point tests panic on purpose
+/// somewhere) does not wedge later tests — poisoning is ignored.
 pub fn exclusive() -> MutexGuard<'static, ()> {
     EXCLUSIVE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -284,8 +288,10 @@ mod tests {
         assert!(fired.is_err(), "third hit must fire");
         assert_eq!(hit_count(PLAN_WORKER), 3);
         // The site disarmed itself; further hits are counted (another
-        // armed site may still exist) but never fire.
-        arm(APPLY_SPLICE, 100);
+        // armed site may still exist) but never fire. The other site is
+        // one no code of this crate reaches, so concurrently running
+        // arena tests cannot hit it.
+        arm(IO_SNAPSHOT, 100);
         hit(PLAN_WORKER);
         assert_eq!(hit_count(PLAN_WORKER), 4);
         disarm_all();

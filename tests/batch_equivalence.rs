@@ -183,7 +183,8 @@ proptest! {
 /// The install-pass counter in plain (non-property) form, pinned to the
 /// acceptance criterion: a batch of k disjoint pairs performs one
 /// transformation-install pass regardless of k, and the sequential replay
-/// performs k.
+/// performs k. With the policy off, every one of the epoch's k clusters is
+/// planned.
 #[test]
 fn install_pass_counter_proves_one_pass_per_epoch() {
     let n = 64u64;
@@ -197,6 +198,8 @@ fn install_pass_counter_proves_one_pass_per_epoch() {
         assert_eq!(outcome.epochs, 1);
         assert_eq!(outcome.install_passes, 1, "k = {k}");
         assert_eq!(batched.stats().transform_install_passes, 1, "k = {k}");
+        assert_eq!(outcome.clusters, k, "disjoint pairs keep their clusters");
+        assert_eq!(outcome.planned_clusters, outcome.clusters, "k = {k}");
 
         let mut sequential = session(n, 9);
         for request in &batch {
@@ -207,8 +210,9 @@ fn install_pass_counter_proves_one_pass_per_epoch() {
     }
 }
 
-/// Overlapping pairs (all α = 0 under uniform keys) merge into one cluster
-/// and still leave every pair directly linked with one install pass.
+/// Overlapping pairs (all α = 0 under uniform keys) merge into one cluster,
+/// which the policy-off plan stage plans once, and still leave every pair
+/// directly linked with one install pass.
 #[test]
 fn overlapping_pairs_merge_into_one_cluster() {
     let n = 64u64;
@@ -220,6 +224,7 @@ fn overlapping_pairs_merge_into_one_cluster() {
     let outcome = batched.submit_batch(&batch).unwrap();
     assert_eq!(outcome.epochs, 1);
     assert_eq!(outcome.clusters, 1, "α = 0 pairs share the root cluster");
+    assert_eq!(outcome.planned_clusters, 1, "the merged cluster is planned once");
     assert_eq!(outcome.install_passes, 1);
     for request in &batch {
         let (u, v) = request.pair();

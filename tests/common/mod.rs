@@ -1,6 +1,6 @@
 //! Shared helpers of the integration suites: the bit-for-bit network
 //! and batch-outcome comparisons used by the determinism tests
-//! (`shard_equivalence.rs`, `service.rs`).
+//! (`service.rs`, `crash_recovery.rs`, `policy_gate.rs`).
 //!
 //! Each consumer pulls this in with `mod common;`, so items unused by a
 //! particular test binary are expected.
@@ -115,5 +115,4 @@ pub fn assert_outcomes_agree(label: &str, left: &BatchOutcome, right: &BatchOutc
         left.sketch_aging_passes, right.sketch_aging_passes,
         "{label}: sketch-aging counters diverge"
     );
-    // plan_shards and plan_wall_ns legitimately differ across shard counts.
 }

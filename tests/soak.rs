@@ -6,10 +6,15 @@
 //! state-table/graph registration invariant, the a-balance report, and the
 //! height bound.
 //!
+//! Every test serializes on `failpoint::exclusive()`: the fault-injection
+//! soak arms sites in the process-global registry, which the other soaks'
+//! engines would otherwise hit.
+//!
 //! `#[ignore]` by default: the run takes minutes in release mode, so a
 //! dedicated CI job runs it with `cargo test --release --test soak --
 //! --ignored` instead of every `cargo test` invocation paying for it.
 
+use dsg::failpoint;
 use dsg::prelude::*;
 
 /// Deterministic splitmix64 stream so the trace is reproducible without
@@ -26,7 +31,7 @@ impl Mix {
     }
 }
 
-fn soak(shards: usize) {
+fn soak() {
     const PEERS: u64 = 256;
     const REQUESTS: usize = 5_000;
     const BATCH: usize = 16;
@@ -36,7 +41,6 @@ fn soak(shards: usize) {
     let mut session = DsgSession::builder()
         .peers(0..PEERS)
         .seed(0x50A6)
-        .shards(shards)
         .build()
         .expect("soak config is valid");
     let mut mix = Mix(0x00DE_C0DE);
@@ -121,20 +125,12 @@ fn soak(shards: usize) {
     assert_eq!(session.len() as u64, PEERS + joined.len() as u64);
 }
 
-/// ≥ 5k mixed requests, serial planning. `#[ignore]`: run via the
-/// dedicated CI soak job.
+/// ≥ 5k mixed requests. `#[ignore]`: run via the dedicated CI soak job.
 #[test]
 #[ignore = "long-horizon soak; run explicitly (CI soak job) with --ignored"]
 fn soak_mixed_traffic_serial() {
-    soak(1);
-}
-
-/// The same trace with the plan stage fanned out over 4 worker shards —
-/// the long-horizon companion to `tests/shard_equivalence.rs`.
-#[test]
-#[ignore = "long-horizon soak; run explicitly (CI soak job) with --ignored"]
-fn soak_mixed_traffic_sharded() {
-    soak(4);
+    let _guard = failpoint::exclusive();
+    soak();
 }
 
 /// Overload soak (PR 9): an open-loop driver offers mixed traffic at
@@ -150,6 +146,8 @@ fn soak_overload_shedding_and_brownout() {
     use std::time::{Duration, Instant};
 
     use dsg_workloads::{OpenLoop, Workload, ZipfPairs};
+
+    let _guard = failpoint::exclusive();
 
     const PEERS: u64 = 192;
     const CALIBRATE: usize = 300;
@@ -278,8 +276,6 @@ fn soak_overload_shedding_and_brownout() {
 #[ignore = "long-horizon soak; run explicitly (CI soak job) with --ignored"]
 fn soak_fault_injection_schedule() {
     use std::time::Duration;
-
-    use dsg::failpoint;
 
     const PEERS: u64 = 128;
     const ROUNDS: u64 = 3;
